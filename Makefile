@@ -31,7 +31,8 @@ test:
 
 # The benchmark corpus in smoke mode: every paper-artifact bench runs once
 # and its assertions (statement-cache parse counts, PP-k pipelining wins,
-# pushdown economics, failover economics) gate the build alongside the
+# pushdown economics, failover economics, the rows-examined scaling
+# exponent of the relational access paths) gate the build alongside the
 # unit tests.
 # (the serving ramp runs real threads for wall seconds, so it has its
 # own target, bench-serve, and is excluded here; the continuous-plane

@@ -70,7 +70,7 @@ REGISTRY: dict[str, tuple[str, ...]] = {
 #: a C407 — use ``bump()``
 COUNTER_FIELDS = frozenset({
     "hits", "misses", "expirations", "evictions",
-    "roundtrips", "rows_shipped", "parses",
+    "roundtrips", "rows_shipped", "rows_examined", "parses",
     "stmt_cache_hits", "stmt_cache_misses", "stmt_cache_evictions",
     "ppk_k_adjustments", "attempts", "retries", "failures",
     "breaker_trips", "degraded",

@@ -31,6 +31,8 @@ class OperatorActuals:
     by_kind: dict = field(default_factory=dict)
     rows: int = 0
     roundtrips: int = 0
+    #: rows the sources' access paths read for those roundtrips
+    examined: int = 0
     retries: int = 0
     breaker_rejections: int = 0
     cache_hits: int = 0
@@ -77,6 +79,7 @@ def _fold(span: Span, enclosing: int | None, out: dict[int, OperatorActuals]) ->
         acts = out[enclosing]
         if span.kind == "source.roundtrip":
             acts.roundtrips += 1  # race-ok: OperatorActuals is a snapshot-time local accumulator
+            acts.examined += span.attrs.get("examined", 0)
         elif span.kind == "source.attempt" and span.attrs.get("attempt", 1) > 1:
             acts.retries += 1  # race-ok: OperatorActuals is a snapshot-time local accumulator
         elif span.kind == "breaker.rejected":
@@ -101,6 +104,7 @@ def format_actuals(op: int, acts: OperatorActuals | None,
         parts.append(f"rows={acts.rows}")
     if acts.roundtrips:
         parts.append(f"roundtrips={acts.roundtrips}")
+        parts.append(f"examined={acts.examined}")
     if acts.retries:
         parts.append(f"retries={acts.retries}")
     if acts.breaker_rejections:

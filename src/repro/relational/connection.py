@@ -67,17 +67,19 @@ class Connection:
         start = self.db.clock.now_ms()
         with self.tracer.start("source.roundtrip", self.db.name) as span:
             self.db.check_call()
-            rows = Executor(self.db, params, tables=prepared.tables).execute(prepared.stmt)
+            executor = self._executor(prepared, params)
+            rows = executor.execute(prepared.stmt)
             if not isinstance(rows, list):
                 raise SourceError(f"expected a query, got DML: {prepared.sql}")
+            examined = executor.examined
             if self.db.faults is not None:
                 rows, dropped = self.db.faults.on_result(self.db.name, rows)
                 if dropped is not None:
                     # The shipped prefix is charged, then the connection dies.
-                    self.db.charge_roundtrip(len(rows), prepared.sql)
+                    self.db.charge_roundtrip(len(rows), prepared.sql, examined)
                     raise dropped
-            self.db.charge_roundtrip(len(rows), prepared.sql)
-            span.set(rows=len(rows))
+            self.db.charge_roundtrip(len(rows), prepared.sql, examined)
+            span.set(rows=len(rows), examined=examined)
         if self.observer is not None:
             self.observer(self.db.name, len(rows), self.db.clock.now_ms() - start)
         return rows
@@ -92,15 +94,19 @@ class Connection:
                     params: Sequence | None) -> int:
         with self.tracer.start("source.roundtrip", self.db.name, dml=True) as span:
             self.db.check_call()
+            executor = self._executor(prepared, params)
             if self._txn is not None:
-                count = self._txn.execute(prepared.stmt, params, tables=prepared.tables)
+                count = self._txn.execute(prepared.stmt, executor=executor)
             else:
-                count = Executor(self.db, params, tables=prepared.tables).execute(prepared.stmt)
+                count = executor.execute(prepared.stmt)
             if not isinstance(count, int):
                 raise SourceError(f"expected DML, got a query: {prepared.sql}")
-            self.db.charge_roundtrip(count, prepared.sql)
-            span.set(rows=count)
+            self.db.charge_roundtrip(count, prepared.sql, executor.examined)
+            span.set(rows=count, examined=executor.examined)
         return count
+
+    def _executor(self, prepared: PreparedStatement, params: Sequence | None) -> Executor:
+        return Executor(self.db, params, tables=prepared.tables, plan=prepared.plan)
 
     def _guarded(self, attempt):
         if self.resilience is None:

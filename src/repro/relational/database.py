@@ -48,6 +48,10 @@ class SourceStats(SyncCounters):
 
     roundtrips: int = 0
     rows_shipped: int = 0
+    #: rows the executor's access paths read: every row of a scanned
+    #: table, only the matched rows of an index probe (deterministic; the
+    #: latency model charges rows shipped, so this moves no virtual time)
+    rows_examined: int = 0
     statements: list[str] = field(default_factory=list)
     #: hard parses actually performed (statement-cache misses + uncached)
     parses: int = 0
@@ -81,6 +85,7 @@ class SourceStats(SyncCounters):
         with self._lock:
             self.roundtrips = 0
             self.rows_shipped = 0
+            self.rows_examined = 0
             self.statements.clear()
             self.parses = 0
             self.stmt_cache_hits = 0
@@ -186,8 +191,10 @@ class Database:
 
     # -- latency accounting ---------------------------------------------------
 
-    def charge_roundtrip(self, rows_shipped: int, statement: str) -> None:
-        self.stats.bump(roundtrips=1, rows_shipped=rows_shipped)
+    def charge_roundtrip(self, rows_shipped: int, statement: str,
+                         rows_examined: int = 0) -> None:
+        self.stats.bump(roundtrips=1, rows_shipped=rows_shipped,
+                        rows_examined=rows_examined)
         self.stats.note_statement(statement)
         self.clock.charge_ms(
             self.latency.roundtrip_ms + rows_shipped * self.latency.per_row_ms

@@ -6,7 +6,9 @@ cost with prepared statements: parse (and name-resolve) once, execute many
 times with fresh parameter bindings.  :class:`StatementCache` reproduces
 that economics for the simulated backends: an LRU keyed by SQL text whose
 entries hold the parsed AST plus executor-side pre-resolution (the table
-objects the statement references, validated at prepare time).
+objects the statement references, validated at prepare time) and the
+statement compiled into closures, access paths chosen (see
+:func:`~repro.relational.executor.compile_statement`).
 
 The cache is *per database* — statements are parsed in the context of one
 source's schema, so DDL on that source (``create_table`` / ``drop_table``)
@@ -31,6 +33,7 @@ from ..sql.ast_nodes import (
     TableRef,
     Update,
 )
+from .executor import Plan, compile_statement
 from .sqlparser import parse_sql
 
 if TYPE_CHECKING:
@@ -48,16 +51,23 @@ class PreparedStatement:
     mutate it); ``tables`` maps each table name the statement's FROM/DML
     clauses reference to its resolved :class:`Table`, so execution skips
     the per-statement name lookup and a missing table fails at prepare
-    time, the way a real prepare call would.
+    time, the way a real prepare call would.  ``plan`` is the compiled
+    statement every execution runs (it holds no per-execution state).
     """
 
-    __slots__ = ("sql", "stmt", "is_query", "tables")
+    __slots__ = ("sql", "stmt", "is_query", "tables", "plan")
 
-    def __init__(self, sql: str, stmt, tables: "dict[str, Table]"):
+    def __init__(self, sql: str, stmt, tables: "dict[str, Table]", database: "Database"):
         self.sql = sql
         self.stmt = stmt
         self.is_query = isinstance(stmt, Select)
         self.tables = tables
+
+        def resolve(name: str) -> "Table":
+            table = tables.get(name)
+            return table if table is not None else database.table(name)
+
+        self.plan: Plan = compile_statement(stmt, resolve)
 
     def __repr__(self) -> str:
         kind = "query" if self.is_query else "dml"
@@ -124,7 +134,7 @@ class StatementCache:
         tables = {
             name: self.db.table(name) for name in _referenced_tables(stmt)
         }
-        return PreparedStatement(sql, stmt, tables)
+        return PreparedStatement(sql, stmt, tables, self.db)
 
     # -- lifecycle -----------------------------------------------------------
 

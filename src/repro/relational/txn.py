@@ -31,9 +31,12 @@ class Transaction:
             self._snapshots[table_name] = self.db.table(table_name).snapshot()
 
     def execute(self, stmt, params: Sequence | None = None,
-                tables: dict | None = None):
+                tables: dict | None = None, executor=None):
         """Execute a statement inside this transaction.  ``tables`` is the
-        pre-resolved table map of a prepared statement, when one exists."""
+        pre-resolved table map of a prepared statement, when one exists.
+        A caller holding a prepared statement passes ``executor`` instead
+        (an :class:`~repro.relational.executor.Executor` carrying its plan)
+        and reads the statement's ``examined`` row count from it afterwards."""
         from .executor import Executor
 
         if self.state != "active":
@@ -42,7 +45,9 @@ class Transaction:
         if table_name is not None:
             self._snapshot(table_name)
         try:
-            return Executor(self.db, params, tables=tables).execute(stmt)
+            if executor is None:
+                executor = Executor(self.db, params, tables=tables)
+            return executor.execute(stmt)
         except SQLError:
             self._failed = True
             raise

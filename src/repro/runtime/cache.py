@@ -194,15 +194,12 @@ class FunctionCache:
         assert self._backing is not None
         table = self._backing.table("FN_CACHE")
         payload = _serialize_items(value)
-        existing = table.lookup_pk((function_name, arg_key))
-        if existing is None:
+        position = table.pk_position((function_name, arg_key))
+        if position is None:
             table.insert({"FNAME": function_name, "ARGKEY": arg_key,
                           "RESULT": payload, "EXPIRY": expiry})
         else:
-            for index, row in enumerate(table.rows):
-                if row["FNAME"] == function_name and row["ARGKEY"] == arg_key:
-                    table.update_at(index, {"RESULT": payload, "EXPIRY": expiry})
-                    break
+            table.update_at(position, {"RESULT": payload, "EXPIRY": expiry})
         self._backing.charge_roundtrip(1, "UPSERT FN_CACHE (cache store)")
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 from ..errors import ConcurrencyError, SourceError, TransactionError, UpdateError
 from ..relational.database import Database
+from ..relational.executor import Executor
 from ..relational.txn import TwoPhaseCommit
 from .concurrency import ConcurrencyPolicy
 from .dataobject import DataGraph, DataObject
@@ -110,7 +111,7 @@ class SubmitEngine:
                     # query path does) at most once per distinct text.
                     prepared = database.statements.prepare(sql_text)
                     try:
-                        count = self._execute(database, txn, prepared)
+                        count, examined = self._execute(database, txn, prepared)
                     except SourceError as exc:
                         # An exhausted source failure aborts the XA branch:
                         # the submit is atomic, so the whole transaction
@@ -119,7 +120,7 @@ class SubmitEngine:
                             f"XA branch {update.database} failed: {exc}"
                         ) from exc
                     result.statements.append(sql_text)
-                    database.charge_roundtrip(count, sql_text)
+                    database.charge_roundtrip(count, sql_text, examined)
                     if count == 0:
                         raise ConcurrencyError(
                             f"optimistic check failed updating {update.table} "
@@ -140,17 +141,20 @@ class SubmitEngine:
         result.affected_databases = sorted(affected)
         return result
 
-    def _execute(self, database: Database, txn, prepared) -> int:
-        """One statement, under the database's resilience policy (if any).
+    def _execute(self, database: Database, txn, prepared) -> tuple[int, int]:
+        """One statement, under the database's resilience policy (if any):
+        the affected-row count and the rows the source examined.
 
         The availability/fault gate raises *before* ``txn.execute`` touches
         any row, so a retried attempt re-runs from a clean slate; only a
         successful attempt mutates the transaction's write set.
         """
 
-        def attempt() -> int:
+        def attempt() -> tuple[int, int]:
             database.check_call()
-            return txn.execute(prepared.stmt, tables=prepared.tables)
+            executor = Executor(database, tables=prepared.tables, plan=prepared.plan)
+            count = txn.execute(prepared.stmt, executor=executor)
+            return count, executor.examined
 
         if self.resilience is None:
             return attempt()

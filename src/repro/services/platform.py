@@ -646,7 +646,7 @@ class Platform:
         series["concurrency.guarded_accesses"] = detector.guarded_accesses
         series["concurrency.lock_acquisitions"] = detector.lock_acquisitions
         series["concurrency.detector_enabled"] = 1 if detector.enabled else 0
-        source_fields = ("roundtrips", "rows_shipped", "parses",
+        source_fields = ("roundtrips", "rows_shipped", "rows_examined", "parses",
                          "stmt_cache_hits", "stmt_cache_misses",
                          "stmt_cache_evictions", "ppk_k_adjustments",
                          "attempts", "retries", "failures", "breaker_trips",

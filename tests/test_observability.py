@@ -399,9 +399,12 @@ class TestAsyncSpanNesting:
             assert branch.parent is group  # explicit handoff, not ambient
             assert branch.find("source-call")
             assert branch.elapsed_ms > 0
-        # both web-service calls slept 5ms; overlap means the group is
-        # well under the 10ms serial cost
-        assert group.elapsed_ms < 9.5
+        # both web-service calls sleep 5ms on pool threads: the branch
+        # intervals overlap (each starts before the other ends), which is
+        # what running them in parallel means, whatever the host's speed
+        first, second = branches
+        assert first.start_ms < second.end_ms
+        assert second.start_ms < first.end_ms
 
 
 # ---------------------------------------------------------------------------
